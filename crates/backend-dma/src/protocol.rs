@@ -429,6 +429,23 @@ impl CommBackend for DmaBackend {
         }
         let clock = self.core.host_clock();
         let region = chan.seg.region();
+        // A recovery re-send must not re-arm a slot that already holds
+        // this frame. Once the target has consumed it, a second flag
+        // reads as the next rotation's frame for the slot: the target
+        // skips it as a duplicate and its cursor runs one slot ahead of
+        // the host's, stranding the frame that really belongs there (at
+        // shutdown, the control frame). The slot's header equals this
+        // frame's only if this very frame was written, so only a
+        // dropped original is re-sent.
+        if res.attempt > 0 {
+            let mut landed = [0u8; HEADER_BYTES];
+            region
+                .read(chan.recv_msg(res.recv_slot), &mut landed)
+                .map_err(|e| OffloadError::Mem(e.to_string()))?;
+            if landed[..] == frame[..HEADER_BYTES] {
+                return Ok(());
+            }
+        }
         region
             .write(chan.recv_msg(res.recv_slot), frame)
             .map_err(|e| OffloadError::Mem(e.to_string()))?;
@@ -822,6 +839,49 @@ mod tests {
             o.sync(NodeId(1), f2f!(empty)).unwrap();
         }
         (o.backend().host_clock().now() - t0).as_us_f64() / reps as f64
+    }
+
+    #[test]
+    fn resend_of_a_consumed_frame_leaves_its_slot_empty() {
+        let be = backend(machine());
+        let o = Offload::new(be.clone());
+        let t = NodeId(1);
+        let f = o.async_(t, f2f!(empty)).unwrap();
+        let chan = be.chan(t).unwrap();
+        let mut pending = Vec::new();
+        chan.chan.pending_into(&mut pending);
+        let (seq, entry) = pending[0];
+        // Result published: the target has consumed the frame and
+        // cleared its recv flag.
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while be.poll_flags(t, seq, &entry).unwrap().is_none() {
+            assert!(std::time::Instant::now() < deadline, "no result");
+            std::thread::yield_now();
+        }
+        let region = chan.seg.region();
+        let flag = chan.recv_flag(entry.recv_slot);
+        assert_eq!(region.load_u64(flag).unwrap(), 0);
+
+        // A late recovery re-send of the same frame.
+        let mut hdr = [0u8; HEADER_BYTES];
+        region
+            .read(chan.recv_msg(entry.recv_slot), &mut hdr)
+            .unwrap();
+        let header = MsgHeader::decode(&hdr).unwrap();
+        let mut frame = vec![0u8; header.wire_len()];
+        region
+            .read(chan.recv_msg(entry.recv_slot), &mut frame)
+            .unwrap();
+        let res = Reservation {
+            seq,
+            recv_slot: entry.recv_slot,
+            send_slot: entry.send_slot,
+            attempt: 1,
+        };
+        be.send_frame(t, &res, &header, &frame).unwrap();
+        assert_eq!(region.load_u64(flag).unwrap(), 0, "slot re-armed");
+        f.get().unwrap();
+        o.shutdown();
     }
 
     #[test]

@@ -24,25 +24,31 @@
 //!   ops alloc/free/put/get/ping, each answered by one response frame.
 //!
 //! Each connection starts with a 1-byte hello tag: `'M'` (message),
-//! `'C'` (control), or — cluster lifecycle only — `'Q'` (quit, unparks
-//! a target waiting in `accept`).
+//! `'C'` (control), or `'Q'` (quit, unparks a target waiting in
+//! `accept`; shutdown sends it to every target).
 //!
-//! ## Cluster lifecycle
+//! ## Session lifecycle
 //!
-//! [`TcpBackend::spawn_cluster`] upgrades the point-to-point transport
-//! to a multi-host cluster story. On every freshly-accepted message
-//! connection the target writes an [`frame::Announce`] frame first:
-//! its capabilities (worker lanes, credit limit, memory) and the
-//! device-side dedup **watermark** (max executed seq, monotonic across
-//! sessions). A disconnect *degrades* the host-side channel — posts
-//! park, in-flight work stays pending — while a per-target link
-//! supervisor reconnects with bounded backoff under the
-//! `RecoveryPolicy` budget. On reconnect, the re-announced watermark
-//! splits the in-flight set: frames **above** it provably never
-//! executed and are replayed (exactly-once preserved); frames **at or
-//! below** it may have executed with the result lost, so they fail
-//! with `TargetLost` rather than risk double execution. Only an
-//! exhausted reconnect budget turns the degradation into an eviction.
+//! Every target is a session that may outlive one connection. On every
+//! freshly-accepted message connection the target writes an
+//! [`frame::Announce`] frame first: its capabilities (worker lanes,
+//! credit limit, memory) and the device-side dedup **watermark** (max
+//! executed seq, monotonic across sessions). What a disconnect means
+//! is set by the backend's reconnect budget:
+//!
+//! * **zero** ([`TcpBackend::spawn`] and its siblings): the first
+//!   disconnect is final. The host-side link supervisor evicts the
+//!   channel and every in-flight offload fails with `TargetLost`.
+//! * **non-zero** ([`TcpBackend::spawn_cluster`] and its siblings, the
+//!   `RecoveryPolicy` budget): a disconnect *degrades* the host-side
+//!   channel — posts park, in-flight work stays pending — while the
+//!   supervisor reconnects with bounded backoff. On reconnect, the
+//!   re-announced watermark splits the in-flight set: frames **above**
+//!   it provably never executed and are replayed (exactly-once
+//!   preserved); frames **at or below** it may have executed with the
+//!   result lost, so they fail with `TargetLost` rather than risk
+//!   double execution. Only an exhausted reconnect budget turns the
+//!   degradation into an eviction.
 
 #![warn(missing_docs)]
 #![deny(unsafe_code)]

@@ -6,15 +6,17 @@
 //! (matched by sequence number), so the backend keeps the default no-op
 //! `poll_flags`/`fetch_frame` verbs.
 //!
-//! Two lifecycles exist. The point-to-point constructors
-//! ([`TcpBackend::spawn`] family) pin the historical semantics: one
-//! connection per target, and a disconnect is a permanent eviction.
-//! [`TcpBackend::spawn_cluster`] grows this into the cluster story:
-//! targets announce capabilities and their dedup watermark on every
-//! accepted connection ([`Announce`]), a disconnect only *degrades* the
-//! channel, and a per-target link supervisor re-establishes the
+//! Every target runs one session lifecycle: it announces capabilities
+//! and its dedup watermark on every accepted connection ([`Announce`]),
+//! and a per-target link supervisor owns the host side of the
+//! connection. The backend's reconnect budget decides what a disconnect
+//! means. With a non-zero budget ([`TcpBackend::spawn_cluster`] family)
+//! it only *degrades* the channel: the supervisor re-establishes the
 //! connection under the [`RecoveryPolicy`]'s bounded budget, replaying
-//! exactly the provably-unexecuted in-flight frames on resume.
+//! exactly the provably-unexecuted in-flight frames on resume. With a
+//! zero budget ([`TcpBackend::spawn`] family) the first disconnect is
+//! final: the channel is evicted and every in-flight offload fails with
+//! [`OffloadError::TargetLost`].
 
 use crate::frame::{read_frame, write_frame, Announce, ControlOp};
 use aurora_mem::RangeAllocator;
@@ -27,7 +29,7 @@ use ham_offload::backend::{CommBackend, RawBuffer, Registrar};
 use ham_offload::chan::pool::{FramePool, PooledFrame};
 use ham_offload::chan::{engine, BatchConfig, ChannelCore, RecoveryPolicy, Reservation};
 use ham_offload::device::{DeviceConfig, DeviceRuntime, HaltReason};
-use ham_offload::target_loop::{run_target_loop, Polled, TargetChannel, TargetEnv};
+use ham_offload::target_loop::{Polled, TargetChannel, TargetEnv};
 use ham_offload::types::{DeviceType, NodeDescriptor, NodeId};
 use ham_offload::OffloadError;
 use parking_lot::Mutex;
@@ -42,8 +44,8 @@ fn io_err(e: std::io::Error) -> OffloadError {
     OffloadError::Backend(format!("tcp: {e}"))
 }
 
-/// Capabilities one cluster target announces at spawn (and re-announces
-/// on every accepted connection).
+/// Capabilities one target announces at spawn (and re-announces on
+/// every accepted connection).
 #[derive(Clone, Copy, Debug)]
 pub struct TargetSpec {
     /// Device worker lanes (simulated VE cores).
@@ -88,6 +90,21 @@ struct Link {
     blackout: AtomicBool,
 }
 
+impl Link {
+    /// Make the loss of this link final: evict the channel with
+    /// `TargetLost` and record the `Eviction`. Idempotent — only the
+    /// first caller records.
+    fn evict(&self, metrics: &aurora_sim_core::BackendMetrics, clock: &Clock) {
+        let lost = OffloadError::TargetLost(NodeId(self.node));
+        if self.chan.evict(lost).is_some() {
+            metrics.on_evict();
+            metrics
+                .health()
+                .record(self.node, HealthEventKind::Eviction, 0, clock.now().as_ps());
+        }
+    }
+}
+
 struct TcpTarget {
     link: Arc<Link>,
     reader: Mutex<Option<JoinHandle<()>>>,
@@ -103,10 +120,10 @@ fn filled(t: TcpTarget) -> OnceLock<TcpTarget> {
     slot
 }
 
-/// Spawn one cluster target peer and connect to it: bind a loopback
-/// acceptor, start the target main loop, run the discovery handshake
-/// (read its [`Announce`]) and start the host-side link supervisor.
-/// Shared by the cluster constructors and [`TcpBackend::join_target`].
+/// Spawn one target peer and connect to it: bind a loopback acceptor,
+/// start the target main loop, run the discovery handshake (read its
+/// [`Announce`]) and start the host-side link supervisor. Shared by
+/// every constructor and [`TcpBackend::join_target`].
 fn spawn_cluster_target(
     node: u16,
     spec: TargetSpec,
@@ -126,13 +143,15 @@ fn spawn_cluster_target(
     let msg_rx = msg.try_clone()?;
     // The announced credit limit bounds scheduler admission for this
     // host; the replay-only recovery policy keeps sent frames around
-    // for the resume handshake.
-    let chan = Arc::new(
-        ChannelCore::unbounded()
-            .with_batching(batch)
-            .with_credit_limit(announce.credit_limit as usize)
-            .with_recovery(RecoveryPolicy::replay_only(budget)),
-    );
+    // for the resume handshake, so a zero budget (nothing to resume)
+    // arms none.
+    let mut chan = ChannelCore::unbounded()
+        .with_batching(batch)
+        .with_credit_limit(announce.credit_limit as usize);
+    if budget > 0 {
+        chan = chan.with_recovery(RecoveryPolicy::replay_only(budget));
+    }
+    let chan = Arc::new(chan);
     let link = Arc::new(Link {
         node,
         addr,
@@ -175,7 +194,8 @@ pub struct TcpBackend {
     /// spawned from. Indexed like `targets`.
     book: Vec<TargetSpec>,
     batch: BatchConfig,
-    /// Reconnect budget per disconnect (cluster lifecycle only).
+    /// Reconnect attempts per disconnect. Zero makes the first
+    /// disconnect final: the link is evicted, never degraded.
     budget: u32,
     registrar: Arc<Registrar>,
     /// Serialises `join_target` activations per backend.
@@ -183,9 +203,6 @@ pub struct TcpBackend {
     clock: Clock,
     metrics: Arc<aurora_sim_core::BackendMetrics>,
     plan: Arc<FaultPlan>,
-    /// Cluster lifecycle ([`TcpBackend::spawn_cluster`]): disconnects
-    /// degrade + reconnect instead of evicting.
-    cluster: bool,
 }
 
 /// The target-process side of one TCP channel. A dedicated reader
@@ -226,8 +243,7 @@ impl TargetChannel for TcpSideChannel {
     }
 }
 
-/// Serve control RPCs over one connection until EOF/error. Shared by
-/// the point-to-point target and every cluster session.
+/// Serve control RPCs over one session's connection until EOF/error.
 fn serve_ctrl(mut stream: TcpStream, mem: &VecMemory, alloc: &Mutex<RangeAllocator>) {
     let respond = |stream: &mut TcpStream, ok: bool, body: &[u8]| {
         let mut frame = Vec::with_capacity(body.len() + 1);
@@ -303,58 +319,15 @@ fn spawn_frame_reader(
     (frame_rx, handle)
 }
 
-/// The target "process": serves the control RPC and the message loop.
-fn target_main(node: u16, listener: TcpListener, mem_bytes: u64, registry: Registry) -> u64 {
-    // Accept the two connections; a 1-byte hello tags each.
-    let mut msg_stream: Option<TcpStream> = None;
-    let mut ctrl_stream: Option<TcpStream> = None;
-    while msg_stream.is_none() || ctrl_stream.is_none() {
-        let (mut s, _) = listener.accept().expect("accept");
-        s.set_nodelay(true).ok();
-        let mut tag = [0u8; 1];
-        s.read_exact(&mut tag).expect("hello tag");
-        match tag[0] {
-            b'M' => msg_stream = Some(s),
-            b'C' => ctrl_stream = Some(s),
-            other => panic!("unknown hello {other}"),
-        }
-    }
-    let msg_stream = msg_stream.expect("message socket");
-    let ctrl_stream = ctrl_stream.expect("control socket");
-
-    let mem = Arc::new(VecMemory::new(mem_bytes as usize));
-    let alloc = Arc::new(Mutex::new(RangeAllocator::new(mem_bytes)));
-
-    // Control RPC loop on its own thread.
-    let mem2 = Arc::clone(&mem);
-    let alloc2 = Arc::clone(&alloc);
-    let ctrl_thread = std::thread::Builder::new()
-        .name(format!("tcp-target-{node}-ctrl"))
-        .spawn(move || serve_ctrl(ctrl_stream, &mem2, &alloc2))
-        .expect("spawn ctrl thread");
-
-    // The HAM message loop over the message socket.
-    let reader_rx = msg_stream.try_clone().expect("clone msg stream");
-    let (frame_rx, reader_thread) =
-        spawn_frame_reader(format!("tcp-target-{node}-reader"), reader_rx);
-    let chan = TcpSideChannel {
-        rx: frame_rx,
-        tx: Mutex::new(msg_stream),
-    };
-    let served = run_target_loop(node, &registry, &*mem, &chan);
-    let _ = reader_thread.join();
-    let _ = ctrl_thread.join();
-    served
-}
-
-/// The cluster target "process": memory, allocator, and the dedup
-/// watermark live *outside* the accept loop, so they survive
-/// disconnects. Each accepted connection pair starts a new device
-/// session that first announces capabilities + watermark on the message
-/// socket, then serves frames until the link drops
-/// ([`HaltReason::Closed`] — loop back to accept) or a `Control` frame
-/// arrives ([`HaltReason::Control`] — exit). A `'Q'` hello terminates a
-/// target parked in `accept`.
+/// The target "process": memory, allocator, and the dedup watermark
+/// live *outside* the accept loop, so they survive disconnects. Each
+/// accepted connection pair starts a new device session that first
+/// announces capabilities + watermark on the message socket, then
+/// serves frames until the link drops ([`HaltReason::Closed`] — loop
+/// back to accept) or a `Control` frame arrives ([`HaltReason::Control`]
+/// — exit). A `'Q'` hello terminates a target parked in `accept`, which
+/// is where a zero-budget target waits out the rest of its life after
+/// its link is lost.
 fn cluster_target_main(
     node: u16,
     listener: TcpListener,
@@ -462,13 +435,13 @@ fn connect_pair(addr: std::net::SocketAddr) -> std::io::Result<(TcpStream, TcpSt
     Ok((msg, ctrl, announce))
 }
 
-/// Per-target link supervisor (cluster lifecycle). Deposits result
-/// frames into the channel core; on EOF it degrades the channel (posts
-/// park, nothing is evicted), then drives bounded-backoff reconnect
-/// attempts. A successful reconnect swaps fresh sockets in under the
-/// [`Link`] locks, resumes the channel against the re-announced
-/// watermark, and replays the provably-unexecuted frames. Only an
-/// exhausted budget evicts.
+/// Per-target link supervisor. Deposits result frames into the channel
+/// core; on EOF it degrades the channel (posts park, nothing is
+/// evicted), then drives bounded-backoff reconnect attempts. A
+/// successful reconnect swaps fresh sockets in under the [`Link`]
+/// locks, resumes the channel against the re-announced watermark, and
+/// replays the provably-unexecuted frames. Only an exhausted budget
+/// evicts; a zero budget skips the degrade and evicts at the first EOF.
 fn run_link(
     link: &Link,
     mut msg_rx: TcpStream,
@@ -496,7 +469,7 @@ fn run_link(
         // ---- Degrade: park posts, keep every pending entry alive ----
         // (`send_frame` may have degraded first on a write error; the
         // Disconnect event is recorded once, by whoever won.)
-        if link.chan.degrade(lost()).is_some() {
+        if budget > 0 && link.chan.degrade(lost()).is_some() {
             metrics
                 .health()
                 .record(node, HealthEventKind::Disconnect, 0, clock.now().as_ps());
@@ -563,12 +536,7 @@ fn run_link(
             backoff = (backoff * 2).min(Duration::from_millis(20));
         }
         // ---- Budget exhausted: the disconnect becomes an eviction ----
-        if link.chan.evict(lost()).is_some() {
-            metrics.on_evict();
-            metrics
-                .health()
-                .record(node, HealthEventKind::Eviction, 0, clock.now().as_ps());
-        }
+        link.evict(metrics, clock);
         return;
     }
 }
@@ -602,15 +570,23 @@ impl TcpBackend {
         batch: BatchConfig,
         registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Self::spawn_inner(n, Self::DEFAULT_MEM, FaultPlan::none(), batch, registrar)
+        let specs = vec![TargetSpec::default(); n as usize];
+        Self::cluster_inner(
+            &specs,
+            &[],
+            0,
+            batch,
+            FaultPlan::none(),
+            Arc::new(registrar),
+        )
     }
 
     /// [`TcpBackend::spawn_with_memory`] under a deterministic
     /// [`FaultPlan`] (used by [`CommBackend::kill_target`] to record
-    /// injected disconnects). TCP is a push transport with no recovery
-    /// policy: a dead peer is detected by the reader thread's EOF, which
-    /// evicts the channel with [`OffloadError::TargetLost`]. An
-    /// all-zero plan behaves identically to
+    /// injected disconnects). These targets have a reconnect budget of
+    /// zero: the link supervisor's EOF on a dead peer evicts the
+    /// channel with [`OffloadError::TargetLost`], with no degraded
+    /// phase and no replay. An all-zero plan behaves identically to
     /// [`TcpBackend::spawn_with_memory`].
     pub fn spawn_with_faults(
         n: u16,
@@ -618,134 +594,19 @@ impl TcpBackend {
         plan: Arc<FaultPlan>,
         registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Self::spawn_inner(n, mem_bytes, plan, BatchConfig::default(), registrar)
-    }
-
-    fn spawn_inner(
-        n: u16,
-        mem_bytes: u64,
-        plan: Arc<FaultPlan>,
-        batch: BatchConfig,
-        registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
-    ) -> Arc<Self> {
-        let registrar: Arc<Registrar> = Arc::new(registrar);
-        let build = |seed: u64| {
-            let mut b = RegistryBuilder::new();
-            registrar(&mut b);
-            b.seal(seed)
+        let spec = TargetSpec {
+            mem_bytes,
+            ..TargetSpec::default()
         };
-        let host_registry = Arc::new(build(0x7463_7000)); // "tcp"
-        let metrics = Arc::new(aurora_sim_core::BackendMetrics::new());
-        for node in 1..=n {
-            metrics.health().register(node);
-        }
-        let clock = Clock::new();
-        let targets = (1..=n)
-            .map(|node| {
-                let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback listener");
-                let addr = listener.local_addr().expect("local addr");
-                let registry = build(0x7463_7000 + node as u64);
-                let server = std::thread::Builder::new()
-                    .name(format!("tcp-target-{node}"))
-                    .spawn(move || target_main(node, listener, mem_bytes, registry))
-                    .expect("spawn tcp target");
-
-                let mut msg = TcpStream::connect(addr).expect("connect msg");
-                msg.write_all(b"M").expect("hello M");
-                msg.set_nodelay(true).ok();
-                let mut ctrl = TcpStream::connect(addr).expect("connect ctrl");
-                ctrl.write_all(b"C").expect("hello C");
-                ctrl.set_nodelay(true).ok();
-
-                // Host-side result reader: deposits completions straight
-                // into the channel core, matched by sequence number.
-                // TCP streams have no slot arrays; the explicit credit
-                // limit keeps scheduler admission bounded anyway.
-                let chan = Arc::new(
-                    ChannelCore::unbounded()
-                        .with_batching(batch)
-                        .with_credit_limit(ham_offload::chan::DEFAULT_PUSH_CREDITS),
-                );
-                let chan2 = Arc::clone(&chan);
-                let metrics2 = Arc::clone(&metrics);
-                let clock2 = clock.clone();
-                let mut msg_rx = msg.try_clone().expect("clone msg stream");
-                let reader = std::thread::Builder::new()
-                    .name(format!("tcp-host-reader-{node}"))
-                    .spawn(move || {
-                        while let Ok(Some(body)) = read_frame(&mut msg_rx) {
-                            if let Ok(header) = MsgHeader::decode(&body) {
-                                if header.kind == MsgKind::Result && body.len() == header.wire_len()
-                                {
-                                    chan2.deposit(header.seq, body[HEADER_BYTES..].to_vec());
-                                }
-                            }
-                        }
-                        // EOF or socket error. During an orderly shutdown
-                        // the channel gate is already closed; anything
-                        // else is a peer death — evict so every in-flight
-                        // offload fails with `TargetLost` instead of
-                        // hanging, and new posts are refused.
-                        if !chan2.is_shutdown()
-                            && chan2
-                                .evict(OffloadError::TargetLost(NodeId(node)))
-                                .is_some()
-                        {
-                            metrics2.on_evict();
-                            metrics2.health().record(
-                                node,
-                                aurora_sim_core::HealthEventKind::Eviction,
-                                0,
-                                clock2.now().as_ps(),
-                            );
-                        }
-                    })
-                    .expect("spawn reader");
-
-                filled(TcpTarget {
-                    link: Arc::new(Link {
-                        node,
-                        addr,
-                        msg_tx: Mutex::new(msg),
-                        ctrl: Mutex::new(ctrl),
-                        chan,
-                        stop: AtomicBool::new(false),
-                        blackout: AtomicBool::new(false),
-                    }),
-                    reader: Mutex::new(Some(reader)),
-                    server: Mutex::new(Some(server)),
-                    mem_bytes,
-                    lanes: 1,
-                })
-            })
-            .collect();
-        let book = vec![
-            TargetSpec {
-                lanes: 1,
-                credit_limit: ham_offload::chan::DEFAULT_PUSH_CREDITS as u32,
-                mem_bytes,
-                ..TargetSpec::default()
-            };
-            n as usize
-        ];
-        Arc::new(Self {
-            host_registry,
-            targets,
-            book,
-            batch,
-            budget: 0,
-            registrar,
-            join_lock: Mutex::new(()),
-            clock,
-            metrics,
-            plan,
-            cluster: false,
-        })
+        let specs = vec![spec; n as usize];
+        let batch = BatchConfig::default();
+        Self::cluster_inner(&specs, &[], 0, batch, plan, Arc::new(registrar))
     }
 
     /// Spawn a multi-host cluster of targets described by `specs`
-    /// (target `i` gets node id `i + 1`). Unlike the point-to-point
-    /// constructors, a disconnect here *degrades* the target instead of
+    /// (target `i` gets node id `i + 1`). Unlike the zero-budget
+    /// [`TcpBackend::spawn`] family, a disconnect here *degrades* the
+    /// target instead of
     /// evicting it: a per-target link supervisor re-establishes the
     /// connection with bounded backoff (at most `policy.max_retries`
     /// attempts per disconnect), re-reads the target's [`Announce`], and
@@ -774,7 +635,8 @@ impl TcpBackend {
         plan: Arc<FaultPlan>,
         registrar: impl Fn(&mut RegistryBuilder) + Send + Sync + 'static,
     ) -> Arc<Self> {
-        Self::cluster_inner(specs, &[], policy, batch, plan, Arc::new(registrar))
+        let budget = policy.max_retries.max(1);
+        Self::cluster_inner(specs, &[], budget, batch, plan, Arc::new(registrar))
     }
 
     /// [`TcpBackend::spawn_cluster`] plus an address book of *reserve*
@@ -793,17 +655,19 @@ impl TcpBackend {
         Self::cluster_inner(
             active,
             reserve,
-            policy,
+            policy.max_retries.max(1),
             BatchConfig::default(),
             plan,
             Arc::new(registrar),
         )
     }
 
+    /// Every constructor lands here. `budget` is the reconnect budget
+    /// per disconnect; zero makes the first disconnect final.
     fn cluster_inner(
         active: &[TargetSpec],
         reserve: &[TargetSpec],
-        policy: RecoveryPolicy,
+        budget: u32,
         batch: BatchConfig,
         plan: Arc<FaultPlan>,
         registrar: Arc<Registrar>,
@@ -819,7 +683,6 @@ impl TcpBackend {
             metrics.health().register(node);
         }
         let clock = Clock::new();
-        let budget = policy.max_retries.max(1);
         let mut targets: Vec<OnceLock<TcpTarget>> = active
             .iter()
             .enumerate()
@@ -846,25 +709,20 @@ impl TcpBackend {
             clock,
             metrics,
             plan,
-            cluster: true,
         })
     }
 
-    /// Activate a vacant reserve slot on a *running* cluster backend:
+    /// Activate a vacant reserve slot on a *running* backend:
     /// spawn the target peer from its address-book [`TargetSpec`], run
     /// the same discovery handshake the constructor uses (the target
     /// [`Announce`]s its capabilities and watermark), and start the
     /// per-link supervisor. Returns the announced capabilities.
     ///
-    /// Errors: non-cluster backends, out-of-range ids, and slots that
-    /// are already active. Joining is serialised per backend; a joined
-    /// target is probe-able and poolable the moment this returns.
+    /// Errors: out-of-range ids, and slots that are already active —
+    /// only [`TcpBackend::spawn_cluster_with_reserve`] leaves a slot
+    /// vacant. Joining is serialised per backend; a joined target is
+    /// probe-able and poolable the moment this returns.
     pub fn join_target(&self, node: NodeId) -> Result<Announce, OffloadError> {
-        if !self.cluster {
-            return Err(OffloadError::Backend(
-                "tcp: join_target requires a cluster backend".into(),
-            ));
-        }
         if node.is_host() || node.0 as usize > self.targets.len() {
             return Err(OffloadError::BadNode(node));
         }
@@ -965,7 +823,7 @@ impl TcpBackend {
         if t.link.chan.is_shutdown() {
             return Err(OffloadError::Shutdown);
         }
-        if self.cluster && t.link.chan.is_degraded() {
+        if t.link.chan.is_degraded() {
             // The control socket is down too; fail fast instead of
             // writing into a dead stream while the supervisor reconnects.
             return Err(OffloadError::Backend(format!(
@@ -1029,7 +887,7 @@ impl CommBackend for TcpBackend {
         let t = self.target(target)?;
         match write_frame(&mut *t.link.msg_tx.lock(), frame) {
             Ok(()) => Ok(()),
-            Err(e) if self.cluster && t.link.chan.eviction().is_none() => {
+            Err(e) if self.budget > 0 && t.link.chan.eviction().is_none() => {
                 // The socket died under this post. Degrade (the link
                 // supervisor also sees EOF; first one records the
                 // Disconnect) and report success: the engine then stores
@@ -1109,35 +967,25 @@ impl CommBackend for TcpBackend {
     }
 
     /// Kill one peer abruptly: both sockets are torn down with no
-    /// Control handshake, as if the remote process died. The reader
-    /// thread observes EOF and evicts the channel; the ctrl and server
-    /// threads unblock on their dead sockets and exit.
+    /// Control handshake, as if the remote process died. The link
+    /// supervisor observes EOF and degrades the channel (or, with a zero
+    /// budget, finds it already evicted); the target's session threads
+    /// unblock on their dead sockets and it parks in `accept` until a
+    /// reconnect or [`CommBackend::shutdown`].
     fn kill_target(&self, target: NodeId) -> Result<(), OffloadError> {
         let t = self.target(target)?;
         self.plan.disconnect(target.0, self.clock.now());
         let _ = t.link.msg_tx.lock().shutdown(std::net::Shutdown::Both);
         let _ = t.link.ctrl.lock().shutdown(std::net::Shutdown::Both);
-        if !self.cluster {
+        if self.budget == 0 {
             // Latch the eviction before returning rather than leaving
-            // it to the reader thread's EOF handling: otherwise a
+            // it to the link supervisor's EOF handling: otherwise a
             // caller can observe every in-flight future failed (via
             // send-side errors) while `eviction()` is still unset for a
             // scheduling beat — `TargetPool::prune` would briefly keep
             // the dead target. `evict` is idempotent, so whichever of
-            // this call and the reader loses the race becomes a no-op.
-            if t.link
-                .chan
-                .evict(OffloadError::TargetLost(target))
-                .is_some()
-            {
-                self.metrics.on_evict();
-                self.metrics.health().record(
-                    target.0,
-                    aurora_sim_core::HealthEventKind::Eviction,
-                    0,
-                    self.clock.now().as_ps(),
-                );
-            }
+            // this call and the supervisor loses the race is a no-op.
+            t.link.evict(&self.metrics, &self.clock);
         }
         Ok(())
     }
@@ -1153,7 +1001,7 @@ impl CommBackend for TcpBackend {
             if t.link.chan.begin_shutdown() {
                 continue;
             }
-            if self.cluster && t.link.chan.is_degraded() {
+            if t.link.chan.is_degraded() {
                 // Shutting down mid-reconnect: there is no live link to
                 // drain staged work into, so fail what's left instead of
                 // spinning on a parked flush.
@@ -1179,13 +1027,11 @@ impl CommBackend for TcpBackend {
             // Close the sockets so the ctrl loop and reader unblock.
             let _ = t.link.msg_tx.lock().shutdown(std::net::Shutdown::Both);
             let _ = t.link.ctrl.lock().shutdown(std::net::Shutdown::Both);
-            if self.cluster {
-                // A cluster target that lost its session parks in
-                // `accept`; a 'Q' hello tells it to exit instead of
-                // waiting for a connection that will never come.
-                if let Ok(mut s) = TcpStream::connect(t.link.addr) {
-                    let _ = s.write_all(b"Q");
-                }
+            // A target that lost its session parks in `accept`; a 'Q'
+            // hello tells it to exit instead of waiting for a connection
+            // that will never come.
+            if let Ok(mut s) = TcpStream::connect(t.link.addr) {
+                let _ = s.write_all(b"Q");
             }
             if let Some(h) = t.server.lock().take() {
                 let _ = h.join();
@@ -1293,6 +1139,38 @@ mod tests {
         o.shutdown(); // idempotent
         assert!(o.sync(NodeId(1), f2f!(node_echo)).is_err());
         assert!(o.allocate::<f64>(NodeId(1), 4).is_err());
+    }
+
+    #[test]
+    fn shutdown_reaps_a_killed_zero_budget_target() {
+        let be = TcpBackend::spawn(2, registrar);
+        be.kill_target(NodeId(1)).unwrap();
+        assert!(be.channel(NodeId(1)).unwrap().eviction().is_some());
+        assert!(be.join_target(NodeId(1)).is_err(), "slot 1 is not vacant");
+
+        // The killed target parks in `accept`; shutdown must unpark it
+        // and join its server thread.
+        let (done_tx, done_rx) = std::sync::mpsc::channel();
+        let be2 = Arc::clone(&be);
+        std::thread::spawn(move || {
+            be2.shutdown();
+            let _ = done_tx.send(());
+        });
+        done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("in-test deadline exceeded: shutdown hung on the killed target");
+        assert!(be.targets[0].get().unwrap().server.lock().is_none());
+
+        assert_eq!(be.metrics().snapshot().reconnect_attempts, 0);
+        let kinds: Vec<HealthEventKind> = be
+            .metrics()
+            .health()
+            .events_for(1)
+            .iter()
+            .map(|e| e.kind)
+            .collect();
+        assert!(kinds.contains(&HealthEventKind::Eviction), "{kinds:?}");
+        assert!(!kinds.contains(&HealthEventKind::Disconnect), "{kinds:?}");
     }
 
     #[test]

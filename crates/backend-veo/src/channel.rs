@@ -321,6 +321,18 @@ impl CommBackend for VeoBackend {
         }
         let proc = &self.core.target(target)?.proc;
         let r = res.recv_slot;
+        // A recovery re-send must not re-arm a slot that already holds
+        // this frame: see the DMA backend's `send_frame`. The header
+        // peek is free, like `fetch_frame`'s.
+        if res.attempt > 0 {
+            let mut landed = [0u8; HEADER_BYTES];
+            proc.process()
+                .read(chan.recv.msg(r), &mut landed)
+                .map_err(|e| OffloadError::Mem(e.to_string()))?;
+            if landed[..] == frame[..HEADER_BYTES] {
+                return Ok(());
+            }
+        }
 
         // Write 1: the message body — the engine-assembled wire frame,
         // verbatim.
@@ -762,6 +774,37 @@ mod tests {
             o.sync(NodeId(1), f2f!(empty)),
             Err(OffloadError::Shutdown)
         ));
+    }
+
+    #[test]
+    fn refused_post_to_a_dead_idle_target_evicts_it() {
+        // The VE dies with nothing in flight, so no flag sweep can see
+        // the death: the refused post itself must latch the eviction.
+        let be = VeoBackend::spawn_with_faults(
+            machine(),
+            0,
+            &[0],
+            ProtocolConfig::default(),
+            FaultPlan::builder(1).build(),
+            None,
+            |b| {
+                b.register::<empty>();
+            },
+        );
+        let o = Offload::new(be.clone());
+        o.sync(NodeId(1), f2f!(empty)).unwrap();
+        o.kill_target(NodeId(1)).unwrap();
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+        while be.channels[0].ctx.is_alive() {
+            assert!(std::time::Instant::now() < deadline, "VE never died");
+            std::thread::yield_now();
+        }
+        assert!(matches!(
+            o.sync(NodeId(1), f2f!(empty)),
+            Err(OffloadError::TargetLost(NodeId(1)))
+        ));
+        assert!(be.channel(NodeId(1)).unwrap().eviction().is_some());
+        o.shutdown();
     }
 
     #[test]

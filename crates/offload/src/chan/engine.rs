@@ -143,6 +143,7 @@ fn post_inner<B: CommBackend + ?Sized>(
     frame.extend_from_slice(payload);
     if let Err(e) = backend.send_frame(target, &res, &header, &frame) {
         chan.cancel(res.seq);
+        evict_if_lost(backend, target, chan, &e);
         return Err(e);
     }
     if matches!(kind, MsgKind::Offload) {
@@ -191,6 +192,7 @@ fn send_envelope<B: CommBackend + ?Sized>(
     let t0 = backend.host_clock().now();
     if let Err(e) = backend.send_frame(target, &f.res, &f.header, &f.frame) {
         chan.fail_batch(f.res.seq, e.clone());
+        evict_if_lost(backend, target, chan, &e);
         return Err(e);
     }
     let now = backend.host_clock().now();
@@ -404,6 +406,22 @@ pub fn evict<B: CommBackend + ?Sized>(
         now.as_ps(),
     );
     failed
+}
+
+/// Evict on a send the transport refused because the target is gone.
+/// A sweep only notices a dead target through a pending entry, and a
+/// refused send leaves none behind, so a target that dies with nothing
+/// in flight would otherwise stay un-evicted while every post to it
+/// fails.
+fn evict_if_lost<B: CommBackend + ?Sized>(
+    backend: &B,
+    target: NodeId,
+    chan: &ChannelCore,
+    err: &OffloadError,
+) {
+    if matches!(err, OffloadError::TargetLost(_)) {
+        evict(backend, target, chan, err.clone());
+    }
 }
 
 /// One liveness probe round trip against `target`, with full

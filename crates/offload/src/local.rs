@@ -265,8 +265,7 @@ impl CommBackend for LocalBackend {
 
     fn shutdown(&self) {
         for (i, t) in self.targets.iter().enumerate() {
-            if !t.chan.begin_shutdown()
-                && engine::post_control(self, NodeId(i as u16 + 1)).is_err()
+            if !t.chan.begin_shutdown() && engine::post_control(self, NodeId(i as u16 + 1)).is_err()
             {
                 // The engine refuses an evicted channel, but the worker
                 // thread is still parked on its queue — deliver the

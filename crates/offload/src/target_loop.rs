@@ -132,48 +132,11 @@ pub fn run_target_loop(
     )
 }
 
-/// [`run_target_loop`] with an optional reverse (target → host)
-/// transport, made available to kernels via
-/// [`ham::ExecContext::vhcall`].
-pub fn run_target_loop_with_reverse(
-    node: u16,
-    registry: &Registry,
-    mem: &dyn TargetMemory,
-    chan: &dyn TargetChannel,
-    reverse: Option<&dyn ham::message::ReverseTransport>,
-) -> u64 {
-    run_target_loop_env(
-        &TargetEnv {
-            node,
-            registry,
-            mem,
-            reverse,
-            meter: None,
-            dedup: false,
-        },
-        chan,
-    )
-}
-
 /// The fully-general message loop over a [`TargetEnv`]: a
 /// default-configured [`DeviceRuntime`] ([`crate::device::DEFAULT_LANES`]
 /// lanes, no clock, no lane registers).
 pub fn run_target_loop_env(env: &TargetEnv<'_>, chan: &dyn TargetChannel) -> u64 {
     DeviceRuntime::new(DeviceConfig::new()).run(env, chan)
-}
-
-/// One *session* of the message loop on a default-configured
-/// [`DeviceRuntime`], seeding the dedup watermark from a previous
-/// session. Reconnecting transports run this in a loop: a
-/// [`crate::device::HaltReason::Closed`] end means the link dropped and
-/// the session may resume with the returned watermark; `Control` means
-/// an orderly shutdown.
-pub fn run_target_session(
-    env: &TargetEnv<'_>,
-    chan: &dyn TargetChannel,
-    watermark: Option<u64>,
-) -> crate::device::SessionEnd {
-    DeviceRuntime::new(DeviceConfig::new()).run_session(env, chan, watermark)
 }
 
 #[cfg(test)]

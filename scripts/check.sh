@@ -14,6 +14,9 @@ cargo test -q
 echo "== examples build =="
 cargo build --release --examples
 
+echo "== benchmark build (hambench is its own workspace) =="
+cargo build --release --offline --manifest-path hambench/Cargo.toml
+
 echo "== pipelined-offloads smoke (writes BENCH_pipelined.json) =="
 cargo bench -q -p aurora-bench --bench pipelined_offloads -- --smoke
 

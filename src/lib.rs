@@ -218,12 +218,13 @@ pub fn veo_offload_with_faults(
 
 /// [`tcp_offload`] under a deterministic [`FaultPlan`].
 ///
-/// This keeps the *point-to-point* lifecycle: TCP is a push transport
-/// with no polling-based retry, so peer death is detected by the reader
-/// thread's EOF and **permanently evicts** the channel with
-/// [`OffloadError::TargetLost`]. For the cluster lifecycle — where a
-/// disconnect degrades the target and a bounded-backoff reconnect
-/// resumes the session — use [`tcp_offload_cluster`].
+/// The targets run the same session lifecycle as
+/// [`tcp_offload_cluster`], with a reconnect budget of zero: peer death
+/// is detected by the link supervisor's EOF and **permanently evicts**
+/// the channel with [`OffloadError::TargetLost`] — no degraded phase,
+/// no replay. For a non-zero budget, where a disconnect degrades the
+/// target and a bounded-backoff reconnect resumes the session, use
+/// [`tcp_offload_cluster`].
 pub fn tcp_offload_with_faults(
     targets: u16,
     plan: Arc<FaultPlan>,
@@ -422,6 +423,16 @@ mod tests {
         for n in 1..=8 {
             assert_eq!(o.sync(NodeId(n), f2f!(ping)).unwrap(), n);
         }
+        o.shutdown();
+    }
+
+    #[test]
+    fn tcp_descriptor_reports_the_target_lanes() {
+        let o = tcp_offload(1, |b| {
+            b.register::<ping>();
+        });
+        let d = o.get_node_descriptor(NodeId(1)).unwrap();
+        assert_eq!(d.cores, ham_offload::device::DEFAULT_LANES as u32);
         o.shutdown();
     }
 }

@@ -149,6 +149,7 @@ fn kill_one_of_four_once(kind: BackendKind, policy: SchedPolicy, seed: u64) -> P
     // rides the dying channel into its eviction (or is refused outright
     // once the eviction is latched), so wave 2's prune is
     // deterministic. A last-gasp completion just loops again.
+    let deadline = Instant::now() + Duration::from_secs(60);
     while o
         .backend()
         .channel(victim)
@@ -156,6 +157,10 @@ fn kill_one_of_four_once(kind: BackendKind, policy: SchedPolicy, seed: u64) -> P
         .eviction()
         .is_none()
     {
+        assert!(
+            Instant::now() < deadline,
+            "{label}: in-test deadline exceeded waiting for the victim's eviction (seed {seed})"
+        );
         match pool.submit_to(victim, f2f!(scenario_probe, 999)) {
             Ok(f) => {
                 let _ = pool.get(f);
@@ -697,7 +702,7 @@ fn add_target_mid_flight_once(seed: u64) -> ChurnRun {
         "{label}: placed on the joiner before it joined: {placements:?}"
     );
     assert!(
-        placements[join_at..].iter().any(|&p| p == joiner.0),
+        placements[join_at..].contains(&joiner.0),
         "{label}: the joiner never served work: {placements:?}"
     );
 
